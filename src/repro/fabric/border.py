@@ -29,16 +29,16 @@ from repro.lisp.mapcache import MapCache
 from repro.lisp.messages import (
     AwayRegister,
     AwayUnregister,
-    MapRegister,
+    EidRecord,
     MapReply,
     MapRequest,
-    MapUnregister,
     PublishUpdate,
     SolicitMapRequest,
     SubscribeRequest,
     control_packet,
 )
 from repro.lisp.records import MappingDatabase
+from repro.lisp.registrar import Registrar
 from repro.net.fastpath import ACT_ENCAP, MegaflowCache, MegaflowEntry
 from repro.sim.rng import SeededRng
 from repro.net.packet import UdpHeader
@@ -121,7 +121,11 @@ class BorderRouter:
         self.transit_node = None
         self.transit_map_server_rloc = None
         self.transit_pending_limit = 16
-        self._site_register_rlocs = ()
+        #: registers away anchors in the site's routing servers (set by
+        #: connect_transit); fire-and-forget, no acks requested
+        self.registrar = Registrar(sim, rloc, self._send_site)
+        #: registers the site's aggregates with the transit map-server
+        self.transit_registrar = None
         self.transit_cache = None     # MapCache of EID aggregate -> site rloc
         self._transit_pending = {}    # (vn int, eid prefix) -> [thunk(rloc or None)]
         self._away = {}               # (vn int, eid prefix) -> away transit rloc
@@ -155,11 +159,7 @@ class BorderRouter:
 
     def subscribe(self):
         """Subscribe to all route updates (call once after control plane up)."""
-        message = SubscribeRequest(self.rloc)
-        self.underlay.send(
-            self.rloc, self.routing_server_rloc,
-            control_packet(self.rloc, self.routing_server_rloc, message),
-        )
+        self._send_site(self.routing_server_rloc, SubscribeRequest(self.rloc))
 
     # -- transit attachment (multi-site) -------------------------------------------
     def connect_transit(self, transit, transit_rloc, transit_node,
@@ -177,7 +177,11 @@ class BorderRouter:
         self.transit_rloc = transit_rloc
         self.transit_node = transit_node
         self.transit_map_server_rloc = transit_map_server_rloc
-        self._site_register_rlocs = tuple(site_register_rlocs)
+        self.registrar.servers = tuple(site_register_rlocs)
+        self.transit_registrar = Registrar(
+            self.sim, transit_rloc, self._send_transit,
+            (transit_map_server_rloc,),
+        )
         self.transit_pending_limit = pending_limit
         # Site aggregates are long-lived (the reply's TTL governs);
         # negative results get the same short TTL edges use, so traffic
@@ -195,8 +199,8 @@ class BorderRouter:
         """Register one of the site's coarse EID aggregates at the transit."""
         if self.transit is None:
             raise ConfigurationError("%s is not transit-connected" % self.name)
-        register = MapRegister(vn, prefix, self.transit_rloc, group=None)
-        self._send_transit(self.transit_map_server_rloc, register)
+        self.transit_registrar.register(
+            EidRecord(vn, prefix, self.transit_rloc, group=None))
 
     def announce_away(self, vn, eid, group=None, mac=None, trace_parent=None):
         """Tell the EID's home border the endpoint now lives in this site.
@@ -333,13 +337,8 @@ class BorderRouter:
             self._away_meta[key] = (group, mac)
             self._away_refreshed_at[key] = self.sim.now
             self.counters.away_anchors_adopted += 1
-            for server_rloc in self._site_register_rlocs:
-                register = MapRegister(vn, eid, self.rloc, group, mac=mac,
-                                       mobility=True)
-                self.underlay.send(
-                    self.rloc, server_rloc,
-                    control_packet(self.rloc, server_rloc, register),
-                )
+            self.registrar.register(EidRecord(vn, eid, self.rloc, group,
+                                              mac=mac, mobility=True))
         self._mf_flush()
 
     def adopt_transit_rloc(self, rloc):
@@ -398,14 +397,9 @@ class BorderRouter:
         self._away_refreshed_at.pop(key, None)
         self._away_meta.pop(key, None)
         self._mf_flush()
-        for server_rloc in self._site_register_rlocs:
-            # RLOC-guarded: a fresh local re-registration is never torn
-            # down by the sweep.
-            unregister = MapUnregister(vn, eid, self.rloc)
-            self.underlay.send(
-                self.rloc, server_rloc,
-                control_packet(self.rloc, server_rloc, unregister),
-            )
+        # RLOC-guarded: a fresh local re-registration is never torn down
+        # by the sweep.
+        self.registrar.withdraw(vn, eid, self.rloc)
 
     # -- external routes -----------------------------------------------------------
     def add_external_route(self, vn, prefix, label="internet"):
@@ -735,15 +729,11 @@ class BorderRouter:
         self._away_meta[key] = (message.group, message.mac)
         self._away_refreshed_at[key] = self.sim.now
         self._mf_flush()
-        for server_rloc in self._site_register_rlocs:
-            register = MapRegister(message.vn, message.eid, self.rloc,
-                                   message.group, mac=message.mac,
-                                   mobility=True)
-            register.trace_ctx = span.ctx
-            self.underlay.send(
-                self.rloc, server_rloc,
-                control_packet(self.rloc, server_rloc, register),
-            )
+        self.registrar.register(
+            EidRecord(message.vn, message.eid, self.rloc, message.group,
+                      mac=message.mac, mobility=True),
+            span.ctx,
+        )
         span.finish(outcome="anchored")
 
     def _handle_away_unregister(self, message):
@@ -765,16 +755,15 @@ class BorderRouter:
         self._away_refreshed_at.pop(key, None)
         self._away_meta.pop(key, None)
         self._mf_flush()
-        for server_rloc in self._site_register_rlocs:
-            # Guarded by our own RLOC: a racing home re-attach (the edge's
-            # fresh registration) is never torn down.
-            unregister = MapUnregister(message.vn, message.eid, self.rloc)
-            unregister.trace_ctx = span.ctx
-            self.underlay.send(
-                self.rloc, server_rloc,
-                control_packet(self.rloc, server_rloc, unregister),
-            )
+        # Guarded by our own RLOC: a racing home re-attach (the edge's
+        # fresh registration) is never torn down.
+        self.registrar.withdraw(message.vn, message.eid, self.rloc, span.ctx)
         span.finish(outcome="released")
+
+    def _send_site(self, dst_rloc, message):
+        self.underlay.send(
+            self.rloc, dst_rloc, control_packet(self.rloc, dst_rloc, message)
+        )
 
     def _send_transit(self, dst_rloc, message):
         self.transit.send(

@@ -12,12 +12,18 @@ Plus the lessons-learned machinery: default route to the border during
 resolution (sec. 3.2.2), underlay reachability tracking with fallback
 (sec. 5.1), reboot behaviour (sec. 5.2), and data-triggered SMRs for
 stale-mapping refresh (fig. 6).
+
+Location registration (function 3) goes through the Map-Register client
+every registering device shares, :class:`repro.lisp.registrar.Registrar`
+(batching, acks, retries, breakers, backpressure).  The edge keeps only
+what is its own: with ``register_retry`` it asks every routing server
+for an ack, and a retry resends, as one batch to the same server, the
+records its VRF still holds (``_still_local``); plus the soft-state
+refresh tick.
 """
 
 from __future__ import annotations
 
-from repro.core.batching import Batcher
-from repro.core.breaker import CircuitBreaker
 from repro.core.counters import Counters
 from repro.core.errors import ConfigurationError
 from repro.lisp.mapcache import MapCache
@@ -33,13 +39,12 @@ from repro.net.fastpath import (
 from repro.lisp.messages import (
     EidRecord,
     MapNotify,
-    MapRegister,
     MapReply,
     MapRequest,
-    MapUnregister,
     SolicitMapRequest,
     control_packet,
 )
+from repro.lisp.registrar import Registrar
 from repro.net.packet import UdpHeader
 from repro.net.vxlan import (
     VXLAN_PORT,
@@ -158,35 +163,10 @@ class EdgeRouter:
         #: drop on miss, exposing the raw initial-connection loss a
         #: reactive protocol would otherwise have.
         self.default_route_to_border = default_route_to_border
-        #: control-plane fast path: coalesce per-family registers (and
-        #: deregistrations, in-band) per server within a flush window.
-        self.batching = batching
-        self.register_flush_s = register_flush_s
-        self._register_batchers = {}   # server rloc -> Batcher
-        #: chaos-suite recovery knobs, all off by default so the
-        #: fire-and-forget baseline stays bit-identical.
-        #: ``register_retry`` (a :class:`repro.core.RetryPolicy`) turns
-        #: registrations into acked messages (registrar ack to
-        #: ourselves) with exponential-backoff resends; a lost
-        #: Map-Register no longer strands an endpoint forever.
-        self.register_retry = register_retry
         #: re-register every local endpoint on this period — soft-state
         #: refresh that repopulates a cold-restarted routing server and
         #: feeds its registration TTL sweep.
         self.register_refresh_s = register_refresh_s
-        self._pending_registers = {}   # nonce -> (server rloc, records, attempt)
-        #: overload armor (all default off, zero-footprint): react to
-        #: the server's in-band overloaded bit by widening the batch
-        #: flush window and stretching the refresh period...
-        self.backpressure = backpressure
-        self._bp_factor = 1.0
-        self.bp_max_factor = 8.0
-        self.bp_overload_acks = 0
-        #: ...and gate registration retries behind a per-server circuit
-        #: breaker so a fleet of retriers cannot storm a drowning server.
-        self.breaker_policy = breaker
-        self._breakers = {}            # server rloc -> CircuitBreaker
-        self.breaker_deferrals = 0
         #: data packets forwarded on a stale (expired, in the
         #: serve-stale window) map-cache entry while re-resolving
         self.stale_served = 0
@@ -208,6 +188,25 @@ class EdgeRouter:
                                   serve_stale_s=serve_stale_s)
         self.acl = GroupAcl()
         self.counters = EdgeRouterCounters()
+        #: the Map-Register client (see :mod:`repro.lisp.registrar`).
+        #: All its knobs are off by default.  ``batching`` coalesces
+        #: per-family registers (and withdrawals, in-band) per server.
+        #: ``register_retry`` (a :class:`repro.core.RetryPolicy`) asks
+        #: every server for an ack and resends unacked messages, so a
+        #: lost Map-Register no longer strands an endpoint forever.
+        #: ``backpressure`` widens the flush window (and stretches the
+        #: refresh period) on overloaded acks; ``breaker`` gates the
+        #: retries per server.
+        self.registrar = Registrar(
+            sim, rloc, self._send_control, self.register_rlocs,
+            ack_servers=self.register_rlocs if register_retry else (),
+            batching=batching, flush_s=register_flush_s,
+            retry=register_retry, rng=self._rng,
+            resend=self._retry_register, breaker=breaker,
+            backpressure=backpressure, counters=self.counters,
+            track=self._track_register, halted=lambda: self.rebooting,
+        )
+        self._pending_registers = {}   # nonce -> (server rloc, records)
         self.l2_gateway = None    # set by repro.fabric.l2 when L2 services are on
 
         self.rebooting = False
@@ -349,73 +348,24 @@ class EdgeRouter:
         for eid in self._endpoint_eids(endpoint):
             if eid.family not in self.register_families:
                 continue
-            for server_rloc in self.register_rlocs:
-                if self.batching:
-                    self._submit_register_record(server_rloc, EidRecord(
-                        endpoint.vn, eid, self.rloc, group=endpoint.group,
-                        mac=endpoint.mac if eid.family != "mac" else None,
-                        mobility=roaming, refresh=refresh,
-                    ))
-                    continue
-                register = MapRegister(
-                    endpoint.vn, eid, self.rloc, endpoint.group,
-                    mac=endpoint.mac if eid.family != "mac" else None,
-                    mobility=roaming, refresh=refresh,
-                    registrar_rloc=(self.rloc if self.register_retry
-                                    else None),
-                )
-                self.counters.map_registers_sent += 1
-                if self.register_retry is not None:
-                    self._track_register(server_rloc, register, attempt=0)
-                self._send_control(server_rloc, register)
-
-    def _submit_register_record(self, server_rloc, record):
-        batcher = self._register_batchers.get(server_rloc)
-        if batcher is None:
-            batcher = Batcher(
-                self.sim,
-                lambda records, rloc=server_rloc:
-                    self._flush_registers(rloc, records),
-                window_s=self.register_flush_s * self._bp_factor,
-            )
-            self._register_batchers[server_rloc] = batcher
-        batcher.submit(record)
-
-    def _flush_registers(self, server_rloc, records):
-        if self.rebooting:
-            return  # state was reset; these records are from before
-        self.counters.map_registers_sent += 1
-        # A withdrawal-only batch stays unacked: the server only acks
-        # committed registrations, and guarded withdrawals are
-        # idempotent — a lost one is repaired by the TTL sweep.
-        acked = (self.register_retry is not None
-                 and any(not record.withdraw for record in records))
-        register = MapRegister(
-            records=records,
-            registrar_rloc=self.rloc if acked else None,
-        )
-        if acked:
-            self._track_register(server_rloc, register, attempt=0)
-        self._send_control(server_rloc, register)
+            self.registrar.register(EidRecord(
+                endpoint.vn, eid, self.rloc, group=endpoint.group,
+                mac=endpoint.mac if eid.family != "mac" else None,
+                mobility=roaming, refresh=refresh,
+            ))
 
     # -- registration acks & retries (chaos suite) --------------------------------
     def _track_register(self, server_rloc, register, attempt):
         self._pending_registers[register.nonce] = (
-            server_rloc, register.eid_records, attempt,
+            server_rloc, register.eid_records,
         )
-        self.sim.schedule(
-            self.register_retry.delay_s(attempt, self._rng),
-            self._check_register, register.nonce,
-        )
+        self.registrar.arm(register.nonce, attempt)
 
-    def _check_register(self, nonce):
-        pending = self._pending_registers.pop(nonce, None)
-        if pending is None or self.rebooting:
+    def _retry_register(self, nonce, attempt):
+        pending = self._pending_registers.get(nonce)
+        if pending is None:
             return  # acked in time (or state was reset)
-        server_rloc, records, attempt = pending
-        if self.register_retry.exhausted(attempt):
-            self.counters.register_retry_exhausted += 1
-            return
+        server_rloc, records = pending
         # Revalidate against the *current* VRF: retrying a snapshot
         # taken before a roam-away would resurrect stale state the new
         # edge's registration already superseded.  Withdrawals survive
@@ -424,36 +374,13 @@ class EdgeRouter:
             record for record in records
             if record.withdraw or self._still_local(record)
         )
-        if not any(not record.withdraw for record in survivors):
-            return  # nothing acked is left to claim
-        if self.breaker_policy is not None:
-            breaker = self._breaker(server_rloc)
-            breaker.record_failure()
-            if not breaker.allow():
-                # Breaker open: hold the pending registration instead of
-                # feeding the retry storm; probe when it half-opens.
-                # The attempt is not burned.
-                self.breaker_deferrals += 1
-                self._pending_registers[nonce] = (server_rloc, records,
-                                                  attempt)
-                self.sim.schedule(
-                    max(breaker.remaining_s, self.register_retry.base_s),
-                    self._check_register, nonce,
-                )
-                return
-        self.counters.register_retries_sent += 1
-        self.counters.map_registers_sent += 1
-        retry = MapRegister(records=survivors, registrar_rloc=self.rloc)
-        self._track_register(server_rloc, retry, attempt + 1)
-        self._send_control(server_rloc, retry)
-
-    def _breaker(self, server_rloc):
-        breaker = self._breakers.get(server_rloc)
-        if breaker is None:
-            breaker = CircuitBreaker(self.sim, self.breaker_policy,
-                                     rng=self._rng)
-            self._breakers[server_rloc] = breaker
-        return breaker
+        if (self.registrar.exhausted(attempt)
+                or not any(not record.withdraw for record in survivors)):
+            del self._pending_registers[nonce]
+            return  # out of attempts, or nothing acked is left to claim
+        if self.registrar.admit_retry(server_rloc, nonce, attempt):
+            del self._pending_registers[nonce]
+            self.registrar.resend(server_rloc, survivors, attempt + 1)
 
     def _still_local(self, record):
         """Does this EID still belong to an endpoint attached here?"""
@@ -480,8 +407,9 @@ class EdgeRouter:
         # Backpressure stretches the refresh period by the current
         # factor (1.0 — a float no-op — unless the server signaled
         # overload on a recent ack).
-        self.sim.schedule_daemon(self.register_refresh_s * self._bp_factor,
-                                 self._refresh_tick)
+        self.sim.schedule_daemon(
+            self.register_refresh_s * self.registrar.bp_factor,
+            self._refresh_tick)
 
     def detach_endpoint(self, endpoint, deregister=False):
         """Endpoint left this edge (roam-away or shutdown).
@@ -499,20 +427,8 @@ class EdgeRouter:
             endpoint.port = None
         if deregister and endpoint.onboarded:
             for eid in self._endpoint_eids(endpoint):
-                if eid.family not in self.register_families:
-                    continue
-                for server_rloc in self.register_rlocs:
-                    if self.batching:
-                        # In-band withdrawal keeps FIFO order against a
-                        # registration still sitting in the open batch.
-                        self._submit_register_record(server_rloc, EidRecord(
-                            endpoint.vn, eid, self.rloc, withdraw=True,
-                        ))
-                        continue
-                    self._send_control(
-                        server_rloc,
-                        MapUnregister(endpoint.vn, eid, self.rloc),
-                    )
+                if eid.family in self.register_families:
+                    self.registrar.withdraw(endpoint.vn, eid, self.rloc)
 
     @staticmethod
     def _endpoint_eids(endpoint):
@@ -945,16 +861,12 @@ class EdgeRouter:
         each record is processed independently.
         """
         self.counters.notifies_received += 1
-        if notify.nonce in self._pending_registers:
+        pending = self._pending_registers.pop(notify.nonce, None)
+        if pending is not None:
             # Aggregated ack for one of our own acked registrations:
             # the records are our state echoed back, nothing to apply.
-            server_rloc = self._pending_registers[notify.nonce][0]
-            del self._pending_registers[notify.nonce]
             self.counters.register_acks_received += 1
-            if self.breaker_policy is not None:
-                self._breaker(server_rloc).record_success()
-            if self.backpressure:
-                self._note_backpressure(notify.overloaded)
+            self.registrar.acked(pending[0], notify.overloaded)
             return
         with self.sim.tracer.span("edge_map_notify", device=self,
                                   parent=notify.trace_ctx,
@@ -982,25 +894,6 @@ class EdgeRouter:
                 group=record.group, version=record.version, ttl=ttl,
                 mac=record.mac,
             )
-
-    def _note_backpressure(self, overloaded):
-        """Adapt signaling cadence to the server's in-band overload bit.
-
-        Multiplicative increase on an overloaded ack, halving decay on a
-        clean one (AIMD-flavoured, bounded by ``bp_max_factor``).  The
-        factor widens the batch flush windows immediately and stretches
-        the refresh period at its next rearm.
-        """
-        factor = self._bp_factor
-        if overloaded:
-            self.bp_overload_acks += 1
-            factor = min(self.bp_max_factor, factor * 2.0)
-        else:
-            factor = max(1.0, factor * 0.5)
-        if factor != self._bp_factor:
-            self._bp_factor = factor
-            for batcher in self._register_batchers.values():
-                batcher.window_s = self.register_flush_s * factor
 
     def _handle_smr(self, smr):
         """Fig. 6 step 4: drop the stale mapping and re-resolve."""
@@ -1072,12 +965,8 @@ class EdgeRouter:
         self._pending_resolution = {}
         self._pending_auth = {}
         self._pending_registers = {}
-        self._breakers = {}
-        self._bp_factor = 1.0
+        self.registrar.reset()
         self._ports = {}
-        for batcher in self._register_batchers.values():
-            batcher.discard()
-            batcher.window_s = self.register_flush_s
         if silent_in_igp:
             self.underlay.set_announced(self.rloc, False)
         self.sim.schedule(duration_s, self._reboot_done, silent_in_igp)

@@ -39,11 +39,24 @@ def _megaflow_gauges(obs, device, name):
     obs.metrics.gauge(name + ".megaflow", megaflow.stats_dict)
 
 
+def _registrar(obs, registrar, name):
+    """Register-batch flush sizes and the open-batch backlog."""
+    hist = obs.metrics.histogram(name + ".register_batch", COUNT_BOUNDS)
+    registrar.flush_hist = hist
+    for batcher in registrar.batchers.values():
+        batcher.flush_hist = hist
+    obs.metrics.gauge(
+        name + ".batch_backlog",
+        lambda: sum(b.pending for b in registrar.batchers.values()),
+    )
+
+
 def _edge(obs, edge, name):
     obs.tracer.register_device(edge, name)
     obs.metrics.enroll(name, edge.counters)
     _map_cache_gauges(obs, edge.map_cache, name + ".map_cache")
     _megaflow_gauges(obs, edge, name)
+    _registrar(obs, edge.registrar, name)
 
 
 def _border(obs, border, name):
@@ -89,14 +102,7 @@ def _wireless_fabric(obs, wireless, prefix):
     obs.tracer.register_device(wlc, name)
     obs.metrics.enroll(name, wlc.stats)
     wlc._cpu.wait_hist = obs.metrics.histogram(name + ".cpu_wait_s")
-    hist = obs.metrics.histogram(name + ".register_batch", COUNT_BOUNDS)
-    wlc.batch_flush_hist = hist
-    for batcher in wlc._batchers.values():
-        batcher.flush_hist = hist
-    obs.metrics.gauge(
-        name + ".batch_backlog",
-        lambda: sum(b.pending for b in wlc._batchers.values()),
-    )
+    _registrar(obs, wlc.registrar, name)
     for ap in wireless.aps:
         obs.tracer.register_device(ap, prefix + ap.name)
         obs.metrics.enroll(prefix + ap.name, ap.counters)

@@ -187,25 +187,27 @@ class MetricRegistry:
                        lambda s=server: s.overload_signals)
         for index, edge in enumerate(edges):
             prefix = "overload.edge%d." % index
-            self.gauge(prefix + "bp_factor", lambda e=edge: e._bp_factor)
+            registrar = edge.registrar
+            self.gauge(prefix + "bp_factor", lambda r=registrar: r.bp_factor)
             self.gauge(prefix + "bp_overload_acks",
-                       lambda e=edge: e.bp_overload_acks)
+                       lambda r=registrar: r.bp_overload_acks)
             self.gauge(prefix + "stale_served", lambda e=edge: e.stale_served)
             self.gauge(prefix + "stale_hits",
                        lambda e=edge: e.map_cache.stale_hits)
             self.gauge(prefix + "breaker_deferrals",
-                       lambda e=edge: e.breaker_deferrals)
+                       lambda r=registrar: r.breaker_deferrals)
             self.gauge(
                 prefix + "breaker_opens",
-                lambda e=edge: sum(b.opens for b in e._breakers.values()),
+                lambda r=registrar: sum(b.opens for b in r.breakers.values()),
             )
         for index, wlc in enumerate(wlcs):
             prefix = "overload.wlc%d." % index
-            self.gauge(prefix + "bp_factor", lambda w=wlc: w._bp_factor)
+            registrar = wlc.registrar
+            self.gauge(prefix + "bp_factor", lambda r=registrar: r.bp_factor)
             self.gauge(prefix + "bp_overload_acks",
-                       lambda w=wlc: w.bp_overload_acks)
+                       lambda r=registrar: r.bp_overload_acks)
             self.gauge(prefix + "breaker_deferrals",
-                       lambda w=wlc: w.breaker_deferrals)
+                       lambda r=registrar: r.breaker_deferrals)
 
     def auto_enroll(self):
         """Enroll every live tracked :class:`Counters` instance.

@@ -30,19 +30,11 @@ exactly the scaling property the fabric design buys.
 
 from __future__ import annotations
 
-from repro.core.batching import Batcher
-from repro.core.breaker import CircuitBreaker
 from repro.core.counters import Counters
 from repro.core.errors import ConfigurationError
 from repro.core.queueing import SerialQueue
-from repro.lisp.messages import (
-    EidRecord,
-    MapNotify,
-    MapRegister,
-    MapUnregister,
-    control_packet,
-    next_nonce,
-)
+from repro.lisp.messages import EidRecord, MapNotify, control_packet
+from repro.lisp.registrar import Registrar
 from repro.policy.server import AccessRequest, AccessResult
 from repro.sim.rng import SeededRng
 
@@ -97,6 +89,19 @@ class FabricWlc:
         one multi-record Map-Register, which the server applies
         atomically and acks with one aggregated Map-Notify.  Off by
         default so every experiment can ablate the knob.
+    register_retry / backpressure / breaker:
+        Chaos and overload knobs of the registration client, all off by
+        default: resend unacked registrations, widen the flush window
+        on overloaded acks, and gate resends behind a circuit breaker.
+
+    Map-Registers go out through :class:`repro.lisp.registrar.Registrar`,
+    the client the edges and borders share.  What is the WLC's own: it
+    asks only the first routing server for acks, pins each (VN, EID)
+    registration to the nonce its ack will echo, and on a retry
+    re-registers the EID from the edge the station is registered at
+    *now*, to every server (single-record messages, never re-batched).
+    The per-EID pending table, the stale-edge relay and the completion
+    samples stay here.
     """
 
     def __init__(self, sim, underlay, rloc, node, register_rlocs,
@@ -115,31 +120,19 @@ class FabricWlc:
         self.dhcp = dhcp
         self.service_s = service_s
         self.register_families = tuple(register_families)
-        self.batching = batching
-        self.register_flush_s = register_flush_s
-        #: chaos-suite knob (off by default): resend a registration whose
-        #: ack never came.  The registrar already asks for acks — without
-        #: the retry, a lost Map-Register (or a crashed routing server)
-        #: strands the station's location until its next roam.
-        self.register_retry = register_retry
-        #: overload armor (default off): widen the batch flush window
-        #: when the ack server signals overload in-band...
-        self.backpressure = backpressure
-        self._bp_factor = 1.0
-        self.bp_max_factor = 8.0
-        self.bp_overload_acks = 0
-        #: ...and gate registration resends behind a circuit breaker on
-        #: the ack server so the WLC never feeds a retry storm.
-        self.breaker_policy = breaker
-        self._ack_breaker = None
-        self.breaker_deferrals = 0
         self._rng = SeededRng(seed).spawn("wlc")
-        self._batchers = {}       # server rloc -> Batcher of EidRecord
-        self._batch_nonce = {}    # server rloc -> nonce of the open batch
-        #: observability hook: Histogram wired onto every Batcher this
-        #: WLC creates (None = off; see repro.obs.instrument)
-        self.batch_flush_hist = None
         self.stats = FabricWlcStats()
+        #: the Map-Register client; acks come from the first routing
+        #: server.  Without ``register_retry``, a lost Map-Register (or
+        #: a crashed routing server) strands the station's location
+        #: until its next roam.
+        self.registrar = Registrar(
+            sim, rloc, self._send, self.register_rlocs,
+            ack_servers=self.register_rlocs[:1], batching=batching,
+            flush_s=register_flush_s, retry=register_retry, rng=self._rng,
+            resend=self._retry_station, breaker=breaker,
+            backpressure=backpressure, counters=self.stats,
+        )
         #: registration-completion delay samples (radio association to
         #: the routing server's ack), for the roam-storm benches
         self.registration_delays = []
@@ -284,116 +277,37 @@ class FabricWlc:
             station=station.identity, mobility=mobility,
             stale_edges=len(stale),
         )
-        if self.batching:
-            self._register_station_batched(
-                station, edge_rloc, mobility, stale, t0, reg_span
-            )
-            return
         for eid in self._station_eids(station):
             # Every family gets an acked registration so the roam-chain
             # relay refreshes stale edges' caches for *all* of the
             # station's EIDs; only the IPv4 ack is the completion sample.
-            ack = True
-            for server_rloc in self.register_rlocs:
-                register = MapRegister(
-                    station.vn, eid, edge_rloc, station.group,
-                    mac=station.mac if eid.family != "mac" else None,
-                    mobility=mobility,
-                    registrar_rloc=self.rloc if ack else None,
-                )
-                register.trace_ctx = reg_span.ctx
-                if ack:
-                    # The register's nonce identifies this registration
-                    # instance; the server echoes it in the ack, so a
-                    # delayed ack from an older registration at the
-                    # *same* edge (an A->B->A bounce under backlog)
-                    # cannot complete the newer one.
-                    key = (int(station.vn), eid)
-                    self._pending_register[key] = (
-                        station, stale, t0, eid.family == "ipv4",
-                        register.nonce, reg_span,
-                    )
-                    self._arm_register_retry(key, register.nonce, 0)
-                self.stats.registers_sent += 1
-                self._send(server_rloc, register)
-                ack = False  # one ack per EID is enough
-
-    # ------------------------------------------------------------------ batched fast path
-    def _register_station_batched(self, station, edge_rloc, mobility,
-                                  stale, t0, reg_span):
-        ack_server = self.register_rlocs[0]
-        for server_rloc in self.register_rlocs:
-            for eid in self._station_eids(station):
-                record = EidRecord(
-                    station.vn, eid, edge_rloc, group=station.group,
-                    mac=station.mac if eid.family != "mac" else None,
-                    mobility=mobility,
-                )
-                nonce = self._submit_record(server_rloc, record)
-                self.stats.register_records_sent += 1
-                if server_rloc == ack_server:
-                    # Same instance-pinning contract as the unbatched
-                    # path, with the *batch* nonce standing in for the
-                    # per-message one.  (The flushed batch message mixes
-                    # stations, so it carries no single trace context;
-                    # the per-station reg_span still closes on its ack.)
-                    key = (int(station.vn), eid)
-                    self._pending_register[key] = (
-                        station, stale, t0, eid.family == "ipv4", nonce,
-                        reg_span,
-                    )
-                    self._arm_register_retry(key, nonce, 0)
-
-    def _submit_record(self, server_rloc, record):
-        """Queue a record on a server's open batch; returns its nonce.
-
-        The batch nonce is minted when the batch opens so pending-ack
-        bookkeeping can reference it before the flush builds the actual
-        message.
-        """
-        batcher = self._batchers.get(server_rloc)
-        if batcher is None:
-            batcher = Batcher(
-                self.sim,
-                lambda records, rloc=server_rloc:
-                    self._flush_registers(rloc, records),
-                window_s=self.register_flush_s * self._bp_factor,
+            # The returned nonce identifies this registration instance
+            # (with batching, the batch nonce stands in for the
+            # per-message one); the server echoes it in the ack, so a
+            # delayed ack from an older registration at the *same* edge
+            # (an A->B->A bounce under backlog) cannot complete the
+            # newer one.
+            key = (int(station.vn), eid)
+            nonce = self.registrar.register(
+                self._record(station.vn, station, eid, edge_rloc, mobility),
+                reg_span.ctx, retry_key=key,
             )
-            batcher.flush_hist = self.batch_flush_hist
-            self._batchers[server_rloc] = batcher
-        if batcher.pending == 0:
-            self._batch_nonce[server_rloc] = next_nonce()
-        # Capture before submit(): a synchronous flush (max_items, or
-        # any future flush-now path) pops the open-batch nonce.
-        nonce = self._batch_nonce[server_rloc]
-        batcher.submit(record)
-        return nonce
+            self._pending_register[key] = (
+                station, stale, t0, eid.family == "ipv4", nonce, reg_span,
+            )
 
-    def _flush_registers(self, server_rloc, records):
-        nonce = self._batch_nonce.pop(server_rloc, None)
-        # Only the first server's registrations are acked (one ack per
-        # record instance is enough) and a withdraw-only batch needs no
-        # ack at all.
-        want_ack = (server_rloc == self.register_rlocs[0]
-                    and any(not record.withdraw for record in records))
-        register = MapRegister(
-            records=records,
-            registrar_rloc=self.rloc if want_ack else None,
-            nonce=nonce,
+    @staticmethod
+    def _record(vn, station, eid, edge_rloc, mobility):
+        return EidRecord(
+            vn, eid, edge_rloc, group=station.group,
+            mac=station.mac if eid.family != "mac" else None,
+            mobility=mobility,
         )
-        self.stats.registers_sent += 1
-        self.stats.register_batches_sent += 1
-        self._send(server_rloc, register)
 
     # ------------------------------------------------------------------ registration retry
-    def _arm_register_retry(self, key, nonce, attempt):
-        """Chaos-suite resend timer for one pinned registration instance."""
-        if self.register_retry is None:
-            return
-        self.sim.schedule(self.register_retry.delay_s(attempt, self._rng),
-                          self._check_register_ack, key, nonce, attempt)
-
-    def _check_register_ack(self, key, nonce, attempt):
+    def _retry_station(self, token, attempt):
+        """Chaos-suite resend of one pinned registration instance."""
+        key, nonce = token
         pending = self._pending_register.get(key)
         if pending is None or pending[4] != nonce:
             return  # acked, withdrawn, or superseded by a newer roam
@@ -404,64 +318,21 @@ class FabricWlc:
         if edge is None:
             del self._pending_register[key]
             return  # withdrawn in the meantime; nothing to claim
-        if self.register_retry.exhausted(attempt):
+        if self.registrar.exhausted(attempt):
             del self._pending_register[key]
-            self.stats.register_retry_exhausted += 1
             reg_span.finish(outcome="retry_exhausted")
             return
-        if self.breaker_policy is not None:
-            breaker = self._breaker()
-            breaker.record_failure()
-            if not breaker.allow():
-                # Breaker open: hold the registration (pending entry and
-                # nonce stay pinned) and probe when it half-opens; the
-                # attempt is not burned.
-                self.breaker_deferrals += 1
-                self.sim.schedule(
-                    max(breaker.remaining_s, self.register_retry.base_s),
-                    self._check_register_ack, key, nonce, attempt,
-                )
-                return
-        self.stats.register_retries_sent += 1
+        if not self.registrar.admit_retry(self.register_rlocs[0], token,
+                                          attempt):
+            return  # breaker open: the pending entry and nonce stay pinned
         vn, eid = key
-        ack = True
-        for server_rloc in self.register_rlocs:
-            register = MapRegister(
-                vn, eid, edge.rloc, station.group,
-                mac=station.mac if eid.family != "mac" else None,
-                mobility=False,
-                registrar_rloc=self.rloc if ack else None,
-            )
-            register.trace_ctx = reg_span.ctx
-            if ack:
-                self._pending_register[key] = (
-                    station, stale, t0, is_completion, register.nonce,
-                    reg_span,
-                )
-                self._arm_register_retry(key, register.nonce, attempt + 1)
-            self.stats.registers_sent += 1
-            self._send(server_rloc, register)
-            ack = False
-
-    def _breaker(self):
-        """The circuit breaker guarding the ack server's retry path."""
-        if self._ack_breaker is None:
-            self._ack_breaker = CircuitBreaker(self.sim, self.breaker_policy,
-                                               rng=self._rng)
-        return self._ack_breaker
-
-    def _note_backpressure(self, overloaded):
-        """Mirror of the edge's AIMD reaction to the overloaded bit."""
-        factor = self._bp_factor
-        if overloaded:
-            self.bp_overload_acks += 1
-            factor = min(self.bp_max_factor, factor * 2.0)
-        else:
-            factor = max(1.0, factor * 0.5)
-        if factor != self._bp_factor:
-            self._bp_factor = factor
-            for batcher in self._batchers.values():
-                batcher.window_s = self.register_flush_s * factor
+        nonce = self.registrar.register(
+            self._record(vn, station, eid, edge.rloc, False),
+            reg_span.ctx, retry_key=key, attempt=attempt + 1,
+        )
+        self._pending_register[key] = (
+            station, stale, t0, is_completion, nonce, reg_span,
+        )
 
     def _on_register_ack(self, notify):
         """Routing server committed proxied registration(s).
@@ -470,11 +341,8 @@ class FabricWlc:
         batch ack; stale-edge relays are re-aggregated per edge so a
         batch of N roams costs each stale edge one message, not N.
         """
-        if self.breaker_policy is not None:
-            # Any ack proves the ack server is answering again.
-            self._breaker().record_success()
-        if self.backpressure:
-            self._note_backpressure(notify.overloaded)
+        # Any ack proves the ack server is answering again.
+        self.registrar.acked(self.register_rlocs[0], notify.overloaded)
         relays = {}        # stale rloc -> [record copies]
         completions = []   # (station, delay) in ack order
         for record in notify.mapping_records:
@@ -585,20 +453,7 @@ class FabricWlc:
         edge.remove_wireless_endpoint(station)
         for eid in self._station_eids(station):
             self._pending_register.pop((int(station.vn), eid), None)
-            for server_rloc in self.register_rlocs:
-                self.stats.unregisters_sent += 1
-                if self.batching:
-                    # In-band withdrawal: the record rides the same
-                    # FIFO batch as any still-buffered registration, so
-                    # the server can never apply them out of order.
-                    self._submit_record(
-                        server_rloc,
-                        EidRecord(station.vn, eid, edge.rloc, withdraw=True),
-                    )
-                else:
-                    unregister = MapUnregister(station.vn, eid, edge.rloc)
-                    unregister.trace_ctx = span.ctx
-                    self._send(server_rloc, unregister)
+            self.registrar.withdraw(station.vn, eid, edge.rloc, span.ctx)
         span.finish()
         # The roam history is deliberately *kept*: edges visited before
         # the withdrawal still hold notify-installed cache entries, and

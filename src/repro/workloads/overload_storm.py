@@ -312,13 +312,15 @@ class OverloadStormWorkload:
             "max_depth_seen": server.queue.max_depth_seen,
             "max_backlog_seen_s": round(server.queue.max_delay_s, 9),
             "overload_signals": server.overload_signals,
-            "bp_overload_acks": sum(e.bp_overload_acks for e in edges),
-            "max_bp_factor": max(e._bp_factor for e in edges),
+            "bp_overload_acks": sum(
+                e.registrar.bp_overload_acks for e in edges),
+            "max_bp_factor": max(e.registrar.bp_factor for e in edges),
             "stale_served": sum(e.stale_served for e in edges),
             "stale_hits": sum(e.map_cache.stale_hits for e in edges),
-            "breaker_deferrals": sum(e.breaker_deferrals for e in edges),
+            "breaker_deferrals": sum(
+                e.registrar.breaker_deferrals for e in edges),
             "breaker_opens": sum(
-                b.opens for e in edges for b in e._breakers.values()),
+                b.opens for e in edges for b in e.registrar.breakers.values()),
         }
         return summary
 
@@ -335,10 +337,11 @@ class OverloadStormWorkload:
         for edge in fabric.edges:
             for key, value in edge.counters.as_dict().items():
                 ledger["%s.%s" % (edge.name, key)] = value
-            ledger["%s.bp_overload_acks" % edge.name] = edge.bp_overload_acks
+            registrar = edge.registrar
+            ledger["%s.bp_overload_acks" % edge.name] = registrar.bp_overload_acks
             ledger["%s.stale_served" % edge.name] = edge.stale_served
             ledger["%s.stale_hits" % edge.name] = edge.map_cache.stale_hits
-            ledger["%s.breaker_deferrals" % edge.name] = edge.breaker_deferrals
+            ledger["%s.breaker_deferrals" % edge.name] = registrar.breaker_deferrals
         for border in fabric.borders:
             for key, value in border.counters.as_dict().items():
                 ledger["%s.%s" % (border.name, key)] = value

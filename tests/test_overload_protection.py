@@ -31,10 +31,10 @@ def test_default_fabric_carries_no_armor():
     assert not net.routing_server.queue.bounded
     assert net.routing_server.queue.pressure == 0.0
     for edge in net.edges:
-        assert edge.breaker_policy is None
+        assert edge.registrar.breaker_policy is None
         assert edge.map_cache.serve_stale_s is None
-        assert edge._bp_factor == 1.0
-        assert not edge.backpressure
+        assert edge.registrar.bp_factor == 1.0
+        assert not edge.registrar.backpressure
 
 
 # ------------------------------------------------------------------ classification
@@ -108,31 +108,33 @@ def test_edge_backpressure_factor_is_aimd():
         num_edges=2, batching=True, register_retry=RETRY, backpressure=True,
     ))
     edge = net.edges[0]
-    assert edge._bp_factor == 1.0
-    edge._note_backpressure(True)
-    assert edge._bp_factor == 2.0
-    edge._note_backpressure(True)
-    assert edge._bp_factor == 4.0
-    for batcher in edge._register_batchers.values():
-        assert batcher.window_s == edge.register_flush_s * 4.0
-    edge._note_backpressure(False)
-    assert edge._bp_factor == 2.0
-    edge._note_backpressure(False)
-    edge._note_backpressure(False)
-    assert edge._bp_factor == 1.0          # floor, never below
-    assert edge.bp_overload_acks == 2
-    for batcher in edge._register_batchers.values():
-        assert batcher.window_s == edge.register_flush_s
+    registrar = edge.registrar
+    server = net.routing_server.rloc
+    assert registrar.bp_factor == 1.0
+    registrar.acked(server, True)
+    assert registrar.bp_factor == 2.0
+    registrar.acked(server, True)
+    assert registrar.bp_factor == 4.0
+    for batcher in registrar.batchers.values():
+        assert batcher.window_s == registrar.flush_s * 4.0
+    registrar.acked(server, False)
+    assert registrar.bp_factor == 2.0
+    registrar.acked(server, False)
+    registrar.acked(server, False)
+    assert registrar.bp_factor == 1.0          # floor, never below
+    assert registrar.bp_overload_acks == 2
+    for batcher in registrar.batchers.values():
+        assert batcher.window_s == registrar.flush_s
 
 
 def test_backpressure_factor_caps_at_max():
     net = FabricNetwork(FabricConfig(
         num_edges=2, register_retry=RETRY, backpressure=True,
     ))
-    edge = net.edges[0]
+    registrar = net.edges[0].registrar
     for _ in range(10):
-        edge._note_backpressure(True)
-    assert edge._bp_factor == edge.bp_max_factor == 8.0
+        registrar.acked(net.routing_server.rloc, True)
+    assert registrar.bp_factor == registrar.bp_max_factor == 8.0
 
 
 # ------------------------------------------------------------------ serve-stale
@@ -214,9 +216,10 @@ def test_breaker_defers_register_retries_to_a_dead_server():
     net.roam(ep, 1)
     net.run_for(3.0)
     dest = net.edges[1]
-    assert sum(b.opens for b in dest._breakers.values()) >= 1 \
-        or sum(b.opens for b in edge._breakers.values()) >= 1
-    deferrals = dest.breaker_deferrals + edge.breaker_deferrals
+    assert sum(b.opens for b in dest.registrar.breakers.values()) >= 1 \
+        or sum(b.opens for b in edge.registrar.breakers.values()) >= 1
+    deferrals = (dest.registrar.breaker_deferrals
+                 + edge.registrar.breaker_deferrals)
     assert deferrals >= 1
     # Recovery: restart, let the half-open probe land, oracle clean.
     net.restart_routing_server(0)
