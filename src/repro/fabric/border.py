@@ -729,9 +729,13 @@ class BorderRouter:
         self._away_meta[key] = (message.group, message.mac)
         self._away_refreshed_at[key] = self.sim.now
         self._mf_flush()
+        # The anchor carries the roam's time so the map server, which
+        # serializes registrations, re-runs the guard above: our synced
+        # copy can lag a home re-registration that is still in flight.
         self.registrar.register(
             EidRecord(message.vn, message.eid, self.rloc, message.group,
-                      mac=message.mac, mobility=True),
+                      mac=message.mac, mobility=True,
+                      initiated_at=message.initiated_at),
             span.ctx,
         )
         span.finish(outcome="anchored")

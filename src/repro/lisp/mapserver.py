@@ -121,6 +121,9 @@ class RoutingServer:
         #: registrar acks that carried the overloaded bit (plain attr —
         #: not a ledger field, so default-off runs stay bit-identical)
         self.overload_signals = 0
+        #: delayed registrations skipped because a registration at
+        #: another RLOC is newer (plain attr, like overload_signals)
+        self.stale_registers_skipped = 0
         self._subscribers = {}   # rloc -> vn filter (None = all)
         #: crash/restart state (chaos suite): while down, every arriving
         #: message is dropped; the queue's epoch guard discards work
@@ -295,6 +298,17 @@ class RoutingServer:
                 if removed is not None:
                     self._publish(eid_record.vn, eid, None)
                 continue
+            if eid_record.initiated_at is not None:
+                # Ordering guard, run where registrations serialize: a
+                # delayed register (a home border's away anchor) loses
+                # to a registration at another RLOC that is newer than
+                # the event behind it.
+                current = self.database.lookup_exact(eid_record.vn, eid)
+                if current is not None \
+                        and current.rloc != eid_record.rloc \
+                        and current.registered_at > eid_record.initiated_at:
+                    self.stale_registers_skipped += 1
+                    continue
             self.stats.register_records += 1
             record = MappingRecord(
                 eid_record.vn, eid, eid_record.rloc, group=eid_record.group,

@@ -63,10 +63,10 @@ class EidRecord:
     """
 
     __slots__ = ("vn", "eid", "rloc", "group", "mac", "mobility", "ttl",
-                 "withdraw", "refresh")
+                 "withdraw", "refresh", "initiated_at")
 
     def __init__(self, vn, eid, rloc, group=None, mac=None, mobility=False,
-                 ttl=None, withdraw=False, refresh=False):
+                 ttl=None, withdraw=False, refresh=False, initiated_at=None):
         self.vn = vn
         self.eid = eid
         self.rloc = rloc
@@ -79,6 +79,11 @@ class EidRecord:
         #: change expected) — the map server's admission control sheds
         #: these first under overload
         self.refresh = refresh
+        #: when the event behind this registration happened, if it was
+        #: delayed on its way here (a home border's away anchor; see
+        #: :class:`AwayRegister`).  The map server skips the record when
+        #: a registration at another RLOC is newer.
+        self.initiated_at = initiated_at
 
     def __repr__(self):
         return "EidRecord(vn=%d, %s %s %s)" % (
@@ -108,13 +113,13 @@ class MapRegister(ControlMessage):
     """
 
     __slots__ = ("vn", "eid", "rloc", "group", "mac", "mobility", "ttl",
-                 "registrar_rloc", "records", "refresh")
+                 "registrar_rloc", "records", "refresh", "initiated_at")
 
     kind = "map-register"
 
     def __init__(self, vn=None, eid=None, rloc=None, group=None, mac=None,
                  mobility=False, ttl=None, registrar_rloc=None, records=None,
-                 nonce=None, refresh=False):
+                 nonce=None, refresh=False, initiated_at=None):
         super().__init__(nonce)
         if records:
             records = tuple(records)
@@ -137,6 +142,8 @@ class MapRegister(ControlMessage):
         self.records = records if records else None
         #: periodic keepalive re-registration (sheds first under overload)
         self.refresh = refresh
+        #: see :attr:`EidRecord.initiated_at` (single-record form only)
+        self.initiated_at = initiated_at
 
     @property
     def eid_records(self):
@@ -145,7 +152,8 @@ class MapRegister(ControlMessage):
             return self.records
         return (EidRecord(self.vn, self.eid, self.rloc, group=self.group,
                           mac=self.mac, mobility=self.mobility, ttl=self.ttl,
-                          refresh=self.refresh),)
+                          refresh=self.refresh,
+                          initiated_at=self.initiated_at),)
 
     @property
     def record_count(self):

@@ -121,6 +121,7 @@ class Registrar:
         register = MapRegister(
             record.vn, record.eid, record.rloc, record.group, mac=record.mac,
             mobility=record.mobility, refresh=record.refresh,
+            initiated_at=record.initiated_at,
             registrar_rloc=self.rloc if server in self.ack_servers else None,
         )
         register.trace_ctx = trace_ctx

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.lisp.messages import AwayRegister, AwayUnregister
 from repro.multisite import MultiSiteConfig, MultiSiteNetwork, split_prefix
 from repro.net.addresses import Prefix
 from repro.policy.sxp import SxpBinding
@@ -237,6 +238,59 @@ def test_quick_away_and_back_roam_does_not_blackhole(duo):
     duo.send(p, a)
     duo.settle()
     assert a.packets_received == before + 1
+
+
+def test_anchor_decided_on_a_lagging_synced_copy_loses_at_the_server(duo):
+    """Regression for the seed-67 ``intersite_churn`` blackhole: the home
+    border's ordering guard reads its pub/sub copy, which lags the map
+    server.  An away announcement arriving just after the server
+    committed the endpoint's fresher home registration — before the
+    publish reached the border — used to anchor the EID anyway; the
+    anchor register then overwrote the home record, and the release
+    deleted it.  The server now runs the same guard on the anchor's
+    ``initiated_at``."""
+    a = duo.create_endpoint("a", "employees", 100)
+    p = duo.create_endpoint("p", "printers", 100)
+    duo.admit(a, 0, 0)
+    duo.admit(p, 1, 0)
+    duo.settle()
+    home = duo.transit_borders[0]
+    server = duo.sites[0].routing_server
+    new_edge = duo.sites[0].edges[1]
+    eid = a.ip.to_prefix()
+    away_rloc = duo.transit_borders[1].transit_rloc
+    # The endpoint roamed away now; the announcement is held up in the
+    # transit while it roams straight back to another home edge.
+    roamed_away_at = duo.sim.now
+    away = AwayRegister(100, eid, away_rloc, group=a.group, mac=a.mac,
+                        initiated_at=roamed_away_at)
+    duo.run_for(0.001)
+
+    def deliver_when_committed(message, _now):
+        if message.kind == "map-register" and message.eid == eid \
+                and message.rloc == new_edge.rloc:
+            server.on_processed = None
+            # The border's copy still shows the old home record.
+            assert home.synced.lookup_exact(100, eid).rloc != new_edge.rloc
+            home._handle_away_register(away)
+
+    server.on_processed = deliver_when_committed
+    duo.roam(a, 0, 1)
+    duo.settle()
+    assert server.on_processed is None, "announcement never delivered"
+    assert server.stale_registers_skipped == 1
+    # The foreign site's release follows; it finds no anchor record of
+    # the border's to withdraw.
+    home._handle_away_unregister(AwayUnregister(
+        100, eid, away_rloc, initiated_at=duo.sim.now))
+    duo.settle()
+    record = server.database.lookup_exact(100, eid)
+    assert record is not None and record.rloc == new_edge.rloc
+    assert home.away_count() == 0
+    before = a.packets_received
+    duo.send(p, a, count=5)
+    duo.settle()
+    assert a.packets_received == before + 5
 
 
 def test_rejected_cross_site_roam_rolls_back_location_state():
