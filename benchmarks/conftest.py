@@ -12,14 +12,18 @@ use tight pytest-benchmark loops.
 Two pieces of perf-tracking plumbing live here:
 
 * the ``trajectory`` fixture collects machine-readable metrics from the
-  perf benches; at session end a new **row** is appended to
-  ``benchmarks/BENCH_<file>.json`` (``ctrlplane`` by default; the
-  data-plane benches record under ``dataplane``, the inter-site roaming
-  bench under ``intersite``).  Each row is one session's metrics plus
-  the fast-path env setting; the committed files therefore carry the
-  perf trajectory across PRs, and ``benchmarks/check_trajectory.py``
-  gates CI on the newest row not regressing against the previous
-  same-env row (legacy schema-1 files are migrated to a first row);
+  perf benches; at session end, when ``REPRO_BENCH_RECORD=1``, a new
+  **row** is appended to ``benchmarks/BENCH_<file>.json``
+  (``ctrlplane`` by default; the data-plane benches record under
+  ``dataplane``, the inter-site roaming bench under ``intersite``).
+  Each row is one session's metrics plus the fast-path env setting; the
+  committed files therefore carry the perf trajectory across PRs, and
+  ``benchmarks/check_trajectory.py`` gates CI on the newest row not
+  regressing against the previous same-env row (legacy schema-1 files
+  are migrated to a first row).  Rows are recorded on purpose only: a
+  plain test run (the default) leaves the files — and ``git status`` —
+  untouched, while the CI ``fastpath-smoke`` lane sets the variable so
+  the gate always sees a fresh row;
 * ``fastpath_flags`` reads ``REPRO_FASTPATH`` so the CI smoke lane can
   run the storm/signaling/dataplane benches with the batching/
   session-cache/megaflow/packet-train knobs both off
@@ -51,6 +55,11 @@ def report():
     def _print(text):
         print("\n" + text)
     return _print
+
+
+def recording_enabled():
+    """True when this session should append rows to the BENCH files."""
+    return os.environ.get("REPRO_BENCH_RECORD", "0") == "1"
 
 
 def fastpath_enabled():
@@ -94,6 +103,8 @@ def _load_rows(path):
 
 
 def pytest_sessionfinish(session, exitstatus):
+    if not recording_enabled():
+        return
     for file_key, benches in _TRAJECTORY.items():
         if not benches:
             continue
