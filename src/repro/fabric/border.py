@@ -121,10 +121,9 @@ class BorderRouter:
         self.transit_node = None
         self.transit_map_server_rloc = None
         self.transit_pending_limit = 16
-        #: registers away anchors in the site's routing servers (set by
-        #: connect_transit); fire-and-forget, no acks requested
+        #: Map-Register clients, no acks: away anchors to the site's
+        #: servers, aggregates to the transit (both set by connect_transit)
         self.registrar = Registrar(sim, rloc, self._send_site)
-        #: registers the site's aggregates with the transit map-server
         self.transit_registrar = None
         self.transit_cache = None     # MapCache of EID aggregate -> site rloc
         self._transit_pending = {}    # (vn int, eid prefix) -> [thunk(rloc or None)]
@@ -729,9 +728,8 @@ class BorderRouter:
         self._away_meta[key] = (message.group, message.mac)
         self._away_refreshed_at[key] = self.sim.now
         self._mf_flush()
-        # The anchor carries the roam's time so the map server, which
-        # serializes registrations, re-runs the guard above: our synced
-        # copy can lag a home re-registration that is still in flight.
+        # The map server re-runs the guard above on ``initiated_at``: our
+        # synced copy can lag a home re-registration still in flight.
         self.registrar.register(
             EidRecord(message.vn, message.eid, self.rloc, message.group,
                       mac=message.mac, mobility=True,

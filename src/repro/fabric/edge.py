@@ -14,12 +14,8 @@ resolution (sec. 3.2.2), underlay reachability tracking with fallback
 stale-mapping refresh (fig. 6).
 
 Location registration (function 3) goes through the Map-Register client
-every registering device shares, :class:`repro.lisp.registrar.Registrar`
-(batching, acks, retries, breakers, backpressure).  The edge keeps only
-what is its own: with ``register_retry`` it asks every routing server
-for an ack, and a retry resends, as one batch to the same server, the
-records its VRF still holds (``_still_local``); plus the soft-state
-refresh tick.
+every registering device shares, :class:`repro.lisp.registrar.Registrar`;
+the edge keeps the VRF revalidation of its retries and the refresh tick.
 """
 
 from __future__ import annotations
@@ -188,15 +184,10 @@ class EdgeRouter:
                                   serve_stale_s=serve_stale_s)
         self.acl = GroupAcl()
         self.counters = EdgeRouterCounters()
-        #: the Map-Register client (see :mod:`repro.lisp.registrar`).
-        #: All its knobs are off by default.  ``batching`` coalesces
-        #: per-family registers (and withdrawals, in-band) per server.
+        #: the Map-Register client; its knobs are all off by default.
         #: ``register_retry`` (a :class:`repro.core.RetryPolicy`) asks
         #: every server for an ack and resends unacked messages, so a
         #: lost Map-Register no longer strands an endpoint forever.
-        #: ``backpressure`` widens the flush window (and stretches the
-        #: refresh period) on overloaded acks; ``breaker`` gates the
-        #: retries per server.
         self.registrar = Registrar(
             sim, rloc, self._send_control, self.register_rlocs,
             ack_servers=self.register_rlocs if register_retry else (),
@@ -355,11 +346,10 @@ class EdgeRouter:
             ))
 
     # -- registration acks & retries (chaos suite) --------------------------------
-    def _track_register(self, server_rloc, register, attempt):
+    def _track_register(self, server_rloc, register):
         self._pending_registers[register.nonce] = (
             server_rloc, register.eid_records,
         )
-        self.registrar.arm(register.nonce, attempt)
 
     def _retry_register(self, nonce, attempt):
         pending = self._pending_registers.get(nonce)

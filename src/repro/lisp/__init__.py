@@ -38,7 +38,6 @@ from repro.lisp.messages import (
 from repro.lisp.records import MappingRecord, MappingDatabase
 from repro.lisp.mapserver import RoutingServer, RoutingServerStats
 from repro.lisp.mapcache import MapCache, MapCacheEntry
-from repro.lisp.registrar import Registrar
 
 __all__ = [
     "LISP_PORT",
@@ -58,5 +57,4 @@ __all__ = [
     "RoutingServerStats",
     "MapCache",
     "MapCacheEntry",
-    "Registrar",
 ]

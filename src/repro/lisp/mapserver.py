@@ -299,10 +299,8 @@ class RoutingServer:
                     self._publish(eid_record.vn, eid, None)
                 continue
             if eid_record.initiated_at is not None:
-                # Ordering guard, run where registrations serialize: a
-                # delayed register (a home border's away anchor) loses
-                # to a registration at another RLOC that is newer than
-                # the event behind it.
+                # The away-anchor ordering guard, run where registrations
+                # serialize (see EidRecord.initiated_at).
                 current = self.database.lookup_exact(eid_record.vn, eid)
                 if current is not None \
                         and current.rloc != eid_record.rloc \

@@ -79,10 +79,9 @@ class EidRecord:
         #: change expected) — the map server's admission control sheds
         #: these first under overload
         self.refresh = refresh
-        #: when the event behind this registration happened, if it was
-        #: delayed on its way here (a home border's away anchor; see
-        #: :class:`AwayRegister`).  The map server skips the record when
-        #: a registration at another RLOC is newer.
+        #: when the delayed event behind a home border's away anchor
+        #: happened (see :class:`AwayRegister`); the map server skips the
+        #: record when a registration at another RLOC is newer
         self.initiated_at = initiated_at
 
     def __repr__(self):

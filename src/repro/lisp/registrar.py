@@ -32,10 +32,11 @@ class Registrar:
     :class:`repro.core.RetryPolicy`/:class:`repro.core.BreakerPolicy`,
     drawing jitter from the owner's seeded ``rng``.  ``counters`` is the
     owner's :class:`repro.core.counters.Counters` ledger; events it has
-    no field for are not counted.  ``track(server, register, attempt)``
-    sees every ack-requesting message just before it is sent.  While
-    ``halted()`` is true, batch flushes are dropped: the owner was reset
-    and the records are from before.
+    no field for are not counted.  ``track(server, register)`` sees every
+    ack-requesting message just before it is sent, and its retry is then
+    armed with the message nonce as the token.  While ``halted()`` is
+    true, batch flushes are dropped: the owner was reset and the records
+    are from before.
     """
 
     def __init__(self, sim, rloc, send, servers=(), ack_servers=(),
@@ -155,6 +156,9 @@ class Registrar:
     def _flush(self, server, records):
         if self._halted is not None and self._halted():
             return  # the owner was reset; these records are from before
+        # A withdrawal-only batch stays unacked: the server only acks
+        # committed registrations, and guarded withdrawals are
+        # idempotent — a lost one is repaired by the TTL sweep.
         acked = (server in self.ack_servers
                  and any(not record.withdraw for record in records))
         register = MapRegister(
@@ -170,7 +174,8 @@ class Registrar:
         # the WLC's registers_sent.
         self._count("map_registers_sent", "registers_sent")
         if register.registrar_rloc is not None and self._track is not None:
-            self._track(server, register, attempt)
+            self._track(server, register)
+            self.arm(register.nonce, attempt)
         self._send(server, register)
 
     # ------------------------------------------------------------------ retries

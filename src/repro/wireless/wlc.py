@@ -90,18 +90,13 @@ class FabricWlc:
         atomically and acks with one aggregated Map-Notify.  Off by
         default so every experiment can ablate the knob.
     register_retry / backpressure / breaker:
-        Chaos and overload knobs of the registration client, all off by
-        default: resend unacked registrations, widen the flush window
-        on overloaded acks, and gate resends behind a circuit breaker.
+        Recovery and overload knobs of the registration client (off by
+        default).
 
     Map-Registers go out through :class:`repro.lisp.registrar.Registrar`,
-    the client the edges and borders share.  What is the WLC's own: it
-    asks only the first routing server for acks, pins each (VN, EID)
-    registration to the nonce its ack will echo, and on a retry
-    re-registers the EID from the edge the station is registered at
-    *now*, to every server (single-record messages, never re-batched).
-    The per-EID pending table, the stale-edge relay and the completion
-    samples stay here.
+    the client edges and borders share.  The WLC asks only the first
+    routing server for acks and, on a retry, re-registers each pending
+    EID from the edge the station is registered at now, to every server.
     """
 
     def __init__(self, sim, underlay, rloc, node, register_rlocs,
@@ -123,9 +118,10 @@ class FabricWlc:
         self._rng = SeededRng(seed).spawn("wlc")
         self.stats = FabricWlcStats()
         #: the Map-Register client; acks come from the first routing
-        #: server.  Without ``register_retry``, a lost Map-Register (or
-        #: a crashed routing server) strands the station's location
-        #: until its next roam.
+        #: server (one ack per registration instance is enough).
+        #: Without ``register_retry``, a lost Map-Register (or a crashed
+        #: routing server) strands the station's location until its
+        #: next roam.
         self.registrar = Registrar(
             sim, rloc, self._send, self.register_rlocs,
             ack_servers=self.register_rlocs[:1], batching=batching,

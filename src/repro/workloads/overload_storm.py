@@ -312,13 +312,11 @@ class OverloadStormWorkload:
             "max_depth_seen": server.queue.max_depth_seen,
             "max_backlog_seen_s": round(server.queue.max_delay_s, 9),
             "overload_signals": server.overload_signals,
-            "bp_overload_acks": sum(
-                e.registrar.bp_overload_acks for e in edges),
+            "bp_overload_acks": sum(e.registrar.bp_overload_acks for e in edges),
             "max_bp_factor": max(e.registrar.bp_factor for e in edges),
             "stale_served": sum(e.stale_served for e in edges),
             "stale_hits": sum(e.map_cache.stale_hits for e in edges),
-            "breaker_deferrals": sum(
-                e.registrar.breaker_deferrals for e in edges),
+            "breaker_deferrals": sum(e.registrar.breaker_deferrals for e in edges),
             "breaker_opens": sum(
                 b.opens for e in edges for b in e.registrar.breakers.values()),
         }
