@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core.breaker import BreakerPolicy
 from repro.core.counters import Counters
 from repro.core.retry import RetryPolicy
@@ -265,3 +266,18 @@ def test_wlc_retry_reregisters_each_eid_to_every_server(batching):
         str(m.eid) for m in retries)
     assert wlc.stats.registrar_acks_received == 2
     assert len(wlc.registration_delays) == 1
+
+
+def test_edge_register_batches_are_instrumented():
+    net = FabricNetwork(FabricConfig(num_edges=2, batching=True))
+    bundle = obs.enable(net, tracing=False, metrics=True)
+    net.define_vn("corp", 100, "10.30.0.0/16")
+    net.define_group("users", 1, 100)
+    net.admit(net.create_endpoint("ep", "users", 100), 0)
+    net.settle()
+    snapshot = bundle.metrics.snapshot()
+    edge = net.edges[0].name
+    assert snapshot["gauges"][edge + ".batch_backlog"] == 0
+    # One flushed batch carrying the endpoint's three EIDs.
+    hist = snapshot["histograms"][edge + ".register_batch"]
+    assert hist["count"] == 1 and hist["total"] == 3
